@@ -4,17 +4,18 @@ A host-side change must leave every simulated output unchanged. Each
 round's fingerprint holds the operation count, final simulated clock,
 page digest, latency-histogram digest, and for chaos the report digest
 and violation count. Per field, the digest of those values over the
-run's cycle of sub-seeds must equal the value pinned for the run seed.
+run's cycle of sub-seeds must equal the value pinned for its input seed.
 
-Regenerate the table (only when a change sets out to alter simulated
-results, and say so) from the repository root::
+The table covers input seeds ``0 .. PINNED_SEEDS[size] - 1``; a run seed
+``s`` drives input seed ``s mod PINNED_SEEDS[size]``, so every run is
+checked against a pin. Regenerate the table (only when a change sets out
+to alter simulated results, and say so) from the repository root::
 
-    python3 hostbench/pins.py --seeds 0-31
+    python3 hostbench/pins.py
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -22,6 +23,7 @@ import sys
 from typing import Dict, List, Optional
 
 PINS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins.json")
+PINNED_SEEDS = {"full": 32, "tiny": 4}
 
 
 class PinMismatch(Exception):
@@ -32,6 +34,15 @@ class PinMismatch(Exception):
             f"{where}: simulated output {field!r} is {got!r}, expected {expected!r}"
         )
         self.field = field
+
+
+class MissingPin(Exception):
+    """The table holds no pin for a run's input seed."""
+
+
+def input_seed(seed: int, size: str) -> int:
+    """The pinned input seed that run seed ``seed`` drives."""
+    return seed % PINNED_SEEDS[size]
 
 
 def load(path: str = PINS_PATH) -> Dict:
@@ -59,27 +70,20 @@ def digest(fingerprints: List[Dict]) -> Dict[str, str]:
 
 
 def check(table: Dict, workload: str, size: str, seed: int,
-          fingerprints: List[Dict]) -> bool:
-    """Check a run's cycle of fingerprints against the pin for its seed;
-    False when the seed has none."""
+          fingerprints: List[Dict]) -> None:
+    """Check a run's cycle of fingerprints against the pin for input seed
+    ``seed``; raise :class:`MissingPin` when the table has none."""
     pinned: Optional[Dict] = table.get(workload, {}).get(size, {}).get(str(seed))
     if pinned is None:
-        return False
-    compare(pinned, digest(fingerprints), f"{workload} seed {seed} ({size})")
-    return True
+        raise MissingPin(
+            f"{workload} input seed {seed} ({size}) has no pinned outputs; "
+            f"pins.json covers input seeds 0-{PINNED_SEEDS[size] - 1} except "
+            f"those whose campaigns end with invariant violations"
+        )
+    compare(pinned, digest(fingerprints), f"{workload} input seed {seed} ({size})")
 
 
-def _seed_range(text: str):
-    lo, _, hi = text.partition("-")
-    return range(int(lo), int(hi or lo) + 1)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=_seed_range, default=_seed_range("0-31"))
-    parser.add_argument("--tiny-seeds", type=_seed_range, default=_seed_range("0-3"))
-    args = parser.parse_args(argv)
-
+def main() -> int:
     import run
 
     run.prepare_environment()
@@ -87,8 +91,8 @@ def main(argv=None) -> int:
 
     table: Dict = {}
     for name in WORKLOADS:
-        for size, seeds in (("full", args.seeds), ("tiny", args.tiny_seeds)):
-            for seed in seeds:
+        for size, count in PINNED_SEEDS.items():
+            for seed in range(count):
                 fingerprints = [run.drive_once(w).fingerprint
                                 for w in run.cycle_of(name, seed, size)]
                 if any(fp.get("violations", 0) for fp in fingerprints):

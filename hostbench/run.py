@@ -6,12 +6,12 @@ Run from the repository root::
     python3 hostbench/run.py --workload rm_pairs --seed 1 --seconds 15 --trace 0
 
 One process, no threads. The run drives rounds of the workload for
-``--seconds`` (at least one cycle of the run's sub-seeds); each round is
+``--seconds``, in whole cycles of the run's sub-seeds; each round is
 set-up (build the cluster, preload pages) then drive. Every round is bracketed by the reference
 kernel (``refkernel.py``) and its wall seconds are scaled to a reference
 host speed. Every round's simulated outputs must equal
 those of the earlier rounds on the same sub-seed and the values pinned
-for the seed (``pins.py``).
+for the run's input seed (``pins.py``).
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` adds one
 profiled, instrumented round and prints the per-layer metrics. The last
@@ -44,7 +44,7 @@ BUILD = os.path.join(ROOT, ".bench_build", "hostbench")
 # latency percentiles pool CYCLE independent inputs (one input's p99 rests
 # on a few dozen samples and swings by 10-25% from seed to seed).
 CYCLE = {"full": 8, "tiny": 2}
-SUBSEEDS = 16  # sub-seed stride per run seed; must be >= every CYCLE value
+SUBSEEDS = 16  # sub-seed stride per input seed; must be >= every CYCLE value
 
 sys.path.insert(0, HERE)
 
@@ -127,13 +127,18 @@ def _percentile(values: List[float], pct: float) -> float:
 def end_to_end_metrics(cycle: List[Dict], rounds: List[Dict]) -> Dict[str, Dict]:
     """Host metrics over every round; simulated ones over one cycle of
     sub-seeds, so they are a pure function of the run seed."""
-    rates = [r["ok"] / (r["raw_drive_s"] * r["scale"]) for r in rounds]
+    # The rate of one cycle at each sub-seed's median drive time. Sub-seeds
+    # differ in cost per operation (chaos campaigns widely), so a median
+    # over per-round rates would hinge on which sub-seeds land mid-ranking.
+    n = len(cycle)
+    drive_s = [statistics.median(r["raw_drive_s"] * r["scale"] for r in rounds[j::n])
+               for j in range(n)]
     setups = [r["raw_setup_s"] * r["scale"] for r in rounds]
     attempted = sum(r["attempted"] for r in cycle)
     ok = sum(r["ok"] for r in cycle)
     samples = [s for r in cycle for s in r["samples"]]
     return {
-        "page_ops_per_s": {"value": statistics.median(rates), "unit": "1/s"},
+        "page_ops_per_s": {"value": ok / sum(drive_s), "unit": "1/s"},
         "setup_s": {"value": statistics.median(setups), "unit": "s"},
         "peak_rss_mb": {
             "value": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
@@ -241,18 +246,26 @@ def _git_revision() -> Optional[str]:
     return None
 
 
+def sub_seeds(seed: int, size: str) -> List[int]:
+    """The ``CYCLE[size]`` sub-seeds of run seed ``seed``, taken from its
+    pinned input seed."""
+    import pins
+
+    return [pins.input_seed(seed, size) * SUBSEEDS + j for j in range(CYCLE[size])]
+
+
 def cycle_of(workload_name: str, seed: int, size: str) -> List:
-    """The run's workload inputs: ``CYCLE[size]`` sub-seeds of ``seed``."""
+    """The run's workload inputs, one per sub-seed."""
     from workloads import WORKLOADS
 
-    return [WORKLOADS[workload_name](seed * SUBSEEDS + j, size)
-            for j in range(CYCLE[size])]
+    return [WORKLOADS[workload_name](sub, size) for sub in sub_seeds(seed, size)]
 
 
 def benchmark(workload_name: str, seed: int, seconds: float, trace: bool,
               size: str = "full") -> Dict:
     """Run the benchmark in this process; returns the result object plus
-    ``details``. Raises :class:`pins.PinMismatch` on a wrong output."""
+    ``details``. Raises :class:`pins.PinMismatch` on a wrong output and
+    :class:`pins.MissingPin` when the input seed has no pin."""
     import pins
     from layers import Instruments, Spans
     from repro.ec.native import native_kernel_name
@@ -277,10 +290,11 @@ def benchmark(workload_name: str, seed: int, seconds: float, trace: bool,
     warmup = checked(run_round(cycle[0], spans, refkernel.measure()), None,
                      "warm-up round")
     rounds: List[Dict] = []
-    pinned = None
     ref = warmup["ref_after_s"]
     start = time.perf_counter()
-    while len(rounds) < len(cycle) or time.perf_counter() - start < seconds:
+    # Whole cycles only, so every sub-seed weighs the same in the medians
+    # however many rounds fit in ``seconds``.
+    while len(rounds) % len(cycle) or not rounds or time.perf_counter() - start < seconds:
         spans.round_id += 1
         j = len(rounds) % len(cycle)
         expected = rounds[j] if len(rounds) >= len(cycle) else (warmup if j == 0 else None)
@@ -290,8 +304,8 @@ def benchmark(workload_name: str, seed: int, seconds: float, trace: bool,
         if len(rounds) > len(cycle):
             del rounds[-1]["samples"]  # one cycle's samples suffice; keep RSS flat
         if len(rounds) == len(cycle):
-            pinned = pins.check(table, workload_name, size, seed,
-                                [r["fingerprint"] for r in rounds])
+            pins.check(table, workload_name, size, pins.input_seed(seed, size),
+                       [r["fingerprint"] for r in rounds])
 
     if trace:
         spans.round_id += 1
@@ -310,8 +324,8 @@ def benchmark(workload_name: str, seed: int, seconds: float, trace: bool,
         seed=seed,
         size=size,
         trace=int(trace),
-        pinned=pinned,
-        sub_seeds=[seed * SUBSEEDS + j for j in range(len(cycle))],
+        input_seed=pins.input_seed(seed, size),
+        sub_seeds=sub_seeds(seed, size),
         sim_samples=sum(len(r["samples"]) for r in rounds[:len(cycle)]),
         rounds=[
             {k: r[k] for k in ("raw_setup_s", "raw_drive_s", "ref_before_s",
@@ -344,8 +358,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--size", choices=("full", "tiny"), default="full",
-                        help="tiny: self-test size (pinned separately)")
     args = parser.parse_args(argv)
     if args.seed < 0:
         parser.error("--seed must be >= 0")
@@ -354,9 +366,8 @@ def main(argv=None) -> int:
     import pins
 
     try:
-        result = benchmark(args.workload, args.seed, args.seconds, bool(args.trace),
-                           args.size)
-    except pins.PinMismatch as exc:
+        result = benchmark(args.workload, args.seed, args.seconds, bool(args.trace))
+    except (pins.PinMismatch, pins.MissingPin) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     details = result.pop("details")

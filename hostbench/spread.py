@@ -3,7 +3,8 @@
 
 Runs N fresh benchmark processes per workload for each of two labelled
 sets, alternating which set runs first; pair ``i`` of both sets uses
-seed ``--first-seed + i``. For each end-to-end metric it prints each
+seed ``FIRST_SEED + i``, and every run lasts ``run_seconds`` from
+BENCHMARK.json. For each end-to-end metric it prints each
 set's median, quartiles and (Q3-Q1)/median beside the metric's bound
 from BENCHMARK.json, and how far set B's median is from set A's.
 
@@ -28,6 +29,7 @@ from typing import Dict, List, Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+FIRST_SEED = 1
 
 
 def run_once(workload: str, seed: int, seconds: int, env: Dict[str, str]) -> Optional[Dict]:
@@ -55,15 +57,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", default="rm_pairs,paged_openloop,chaos_soak")
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=None,
-                        help="defaults to run_seconds in BENCHMARK.json")
     parser.add_argument("--ab", default=None, metavar="NAME=VALUE")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     env_a = dict(os.environ)
     env_b = dict(os.environ)
     if args.ab:
@@ -77,7 +76,7 @@ def main(argv=None) -> int:
     for workload in args.workloads.split(","):
         sides: Dict[str, List[Dict]] = {"A": [], "B": []}
         for i in range(args.runs):
-            seed = args.first_seed + i
+            seed = FIRST_SEED + i
             order = ("A", "B") if i % 2 == 0 else ("B", "A")
             for side in order:
                 env = env_a if side == "A" else env_b

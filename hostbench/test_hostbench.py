@@ -35,7 +35,6 @@ with open(os.path.join(run.ROOT, "BENCHMARK.json")) as _fh:
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_tiny_workload_passes_its_pins(name):
     result = run.benchmark(name, seed=0, seconds=0, trace=False, size="tiny")
-    assert result["details"]["pinned"] is True
     assert result["correct"] and result["failed"] == 0
     assert set(result["metrics"]) == {m["name"] for m in SPEC["end_to_end"]}
     assert all(m["value"] > 0 for m in result["metrics"].values())
@@ -44,7 +43,7 @@ def test_tiny_workload_passes_its_pins(name):
 def test_perturbed_pin_is_rejected(monkeypatch):
     table = pins.load()
     fingerprints = [run.drive_once(w).fingerprint for w in run.cycle_of("rm_pairs", 0, "tiny")]
-    assert pins.check(table, "rm_pairs", "tiny", 0, fingerprints) is True
+    pins.check(table, "rm_pairs", "tiny", 0, fingerprints)
 
     perturbed = copy.deepcopy(table)
     perturbed["rm_pairs"]["tiny"]["0"]["sim_now_us"] = "0" * 16
@@ -61,6 +60,19 @@ def test_perturbed_pin_is_rejected(monkeypatch):
     monkeypatch.setattr(pins, "load", lambda: perturbed)
     with pytest.raises(pins.PinMismatch, match="sim_now_us"):
         run.benchmark("rm_pairs", seed=0, seconds=0, trace=False, size="tiny")
+
+
+def test_every_run_seed_is_checked_against_a_pin(monkeypatch):
+    seed = 1 + pins.PINNED_SEEDS["tiny"]
+    result = run.benchmark("rm_pairs", seed=seed, seconds=0, trace=False, size="tiny")
+    assert result["details"]["input_seed"] == 1
+    assert result["details"]["sub_seeds"] == run.sub_seeds(1, "tiny")
+
+    unpinned = copy.deepcopy(pins.load())
+    del unpinned["rm_pairs"]["tiny"]["1"]
+    monkeypatch.setattr(pins, "load", lambda: unpinned)
+    with pytest.raises(pins.MissingPin, match="input seed 1"):
+        run.benchmark("rm_pairs", seed=seed, seconds=0, trace=False, size="tiny")
 
 
 def test_chaos_violation_fails_the_run(monkeypatch):
@@ -85,9 +97,8 @@ def test_reference_scaling_is_applied(monkeypatch):
     result = run.benchmark("rm_pairs", seed=0, seconds=0, trace=False, size="tiny")
     rounds = result["details"]["rounds"]
     assert all(r["scale"] == pytest.approx(factor) for r in rounds)
-    ops = result["attempted"] // len(rounds)
     assert result["metrics"]["page_ops_per_s"]["value"] == pytest.approx(
-        statistics.median(ops / (factor * r["raw_drive_s"]) for r in rounds)
+        result["attempted"] / sum(factor * r["raw_drive_s"] for r in rounds)
     )
     assert result["metrics"]["setup_s"]["value"] == pytest.approx(
         statistics.median(factor * r["raw_setup_s"] for r in rounds)
@@ -126,7 +137,7 @@ def test_openloop_matches_the_loadgen_point():
 def test_cli_prints_result_last(tmp_path):
     proc = subprocess.run(
         [sys.executable, "hostbench/run.py", "--workload", "rm_pairs", "--seed", "0",
-         "--seconds", "0", "--trace", "0", "--size", "tiny"],
+         "--seconds", "0", "--trace", "0"],
         cwd=run.ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -184,7 +184,10 @@ class ChaosSoak:
 
     The campaign builds its cluster inside ``run_chaos``; the set-up
     phase builds and preloads one cluster of the same shape so that
-    cluster construction cost shows in ``setup_s`` here too.
+    cluster construction cost shows in ``setup_s`` here too. That cluster
+    is a proxy the campaign never uses: ``setup_s`` misses the campaign's
+    own monitor, injectors and deployment, and the drive phase (so
+    ``page_ops_per_s``) includes the campaign's own build and preload.
     """
 
     name = "chaos_soak"
