@@ -55,7 +55,8 @@ def quartiles(values: List[float]):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workloads", default="rm_pairs,paged_openloop,chaos_soak")
+    parser.add_argument("--workloads", default=None,
+                        help="comma-separated; default: the workloads BENCHMARK.json names")
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--ab", default=None, metavar="NAME=VALUE")
     args = parser.parse_args(argv)
@@ -73,7 +74,9 @@ def main(argv=None) -> int:
     label_b = args.ab or "A again"
     any_failed = False
 
-    for workload in args.workloads.split(","):
+    workloads = (args.workloads.split(",") if args.workloads
+                 else [w["name"] for w in spec["workloads"]])
+    for workload in workloads:
         sides: Dict[str, List[Dict]] = {"A": [], "B": []}
         for i in range(args.runs):
             seed = FIRST_SEED + i

@@ -89,6 +89,17 @@ def test_chaos_violation_fails_the_run(monkeypatch):
         run.benchmark("chaos_soak", seed=0, seconds=0, trace=False, size="tiny")
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "known program defect: these default chaos campaigns end with durability "
+    "violations, so chaos_soak fails on input seeds 8, 10 and 13 and stays out "
+    "of BENCHMARK.json until the fix; then pin those seeds and put it back"))
+@pytest.mark.parametrize("campaign", [135, 160, 211])
+def test_default_chaos_campaign_keeps_its_data(campaign):
+    from repro.chaos import ChaosConfig, run_chaos
+
+    assert run_chaos(campaign, ChaosConfig()).violations == []
+
+
 def test_reference_scaling_is_applied(monkeypatch):
     # A host running the reference kernel at half the nominal speed:
     # every round's wall time shrinks by 0.5 ** ELASTICITY.
